@@ -89,24 +89,41 @@ func CellKeyFor(workloadName string, params *synth.Params, opt sim.Options, cfg 
 	}
 }
 
-// seedKey renders the key in the pre-export runKey layout. These bytes
-// are FROZEN: per-run seeds (Plan.Seed, the "seed" field of every cell
-// in the results JSON) are derived by hashing exactly this string, and
-// the results JSON is covered by the byte-identical golden contract.
+// seedKey appends the key in the pre-export runKey layout to b. These
+// bytes are FROZEN: per-run seeds (Plan.Seed, the "seed" field of every
+// cell in the results JSON) are derived by hashing exactly these bytes,
+// and the results JSON is covered by the byte-identical golden contract.
 // New identity components (KeyVersion, SchemaVersion, SynthParams) live
 // only in String, never here.
-func (k CellKey) seedKey() string {
-	return fmt.Sprintf("w=%s|warm=%d|meas=%d|energy=%s|cfg=%+v",
+//
+// core.Config once ended in two fields of a since-removed approximate
+// simulation tier, which every key rendered as "Fidelity:exact
+// ChainCacheSize:0". Dropping them from the bytes would change every
+// serialized seed and every persisted cache hash, so the rendering
+// re-appends that suffix verbatim before the closing brace.
+func (k CellKey) seedKey(b []byte) []byte {
+	b = fmt.Appendf(b, "w=%s|warm=%d|meas=%d|energy=%s|cfg=%+v",
 		k.Workload, k.WarmupUops, k.MeasureUops, k.Energy, k.Config)
+	return append(b[:len(b)-1], legacyConfigSuffix+"}"...)
 }
+
+// legacyConfigSuffix is the frozen rendering of the removed tier fields
+// (see seedKey). Never edit it: it is part of every seed and cache
+// hash.
+const legacyConfigSuffix = " Fidelity:exact ChainCacheSize:0"
+
+// keyBufSize covers a rendered key without regrowth (a default
+// configuration renders to about 1.5 KB).
+const keyBufSize = 2048
 
 // String renders the full versioned cache identity. Two runs with equal
 // strings produce equal Results; the converse direction (unequal strings
 // for runs that would differ) is what canonicalConfig and the
 // golden-key tests guard.
 func (k CellKey) String() string {
-	return fmt.Sprintf("cellkey/v%d|schema=%d|synth=%s|%s",
-		KeyVersion, SchemaVersion, k.SynthParams, k.seedKey())
+	b := fmt.Appendf(make([]byte, 0, keyBufSize), "cellkey/v%d|schema=%d|synth=%s|",
+		KeyVersion, SchemaVersion, k.SynthParams)
+	return string(k.seedKey(b))
 }
 
 // Hash returns the hex SHA-256 of String — the content address used as
@@ -123,7 +140,7 @@ func (k CellKey) Hash() string {
 // derivation is part of the byte-identical contract.
 func (k CellKey) Seed() uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(k.seedKey()))
+	h.Write(k.seedKey(make([]byte, 0, keyBufSize)))
 	z := h.Sum64() + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

@@ -561,7 +561,12 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		dec := json.NewDecoder(r.Body)
+		// A field the spec does not declare is an error, not a no-op: a
+		// misspelled window or a field from an older API would otherwise
+		// run a different experiment than the submitter asked for.
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
 			return
 		}

@@ -234,17 +234,24 @@ func TestServerHealthAndMetrics(t *testing.T) {
 
 func TestServerRejectsBadSpecs(t *testing.T) {
 	env := newEnv(t, Config{})
+	// field, when set, must be named in the error: a field the spec does
+	// not declare (one removed from the API, or a misspelling) fails the
+	// submission instead of silently running a different job.
 	bad := []struct {
-		name string
-		body string
+		name  string
+		body  string
+		field string
 	}{
-		{"not json", "{nope"},
-		{"no modes", `{"workloads":["mcf"],"measure_uops":1000}`},
-		{"unknown mode", `{"modes":["warp-drive"],"workloads":["mcf"],"measure_uops":1000}`},
-		{"no workloads", `{"modes":["OoO"],"measure_uops":1000}`},
-		{"no window", `{"modes":["OoO"],"workloads":["mcf"]}`},
-		{"unknown knob", `{"modes":["OoO"],"workloads":["mcf"],"measure_uops":1000,"points":[{"name":"p","knobs":{"warp_factor":9}}]}`},
-		{"unknown space", `{"modes":["OoO"],"measure_uops":1000,"population":{"space_name":"nope","count":2}}`},
+		{"not json", "{nope", ""},
+		{"no modes", `{"workloads":["mcf"],"measure_uops":1000}`, ""},
+		{"unknown mode", `{"modes":["warp-drive"],"workloads":["mcf"],"measure_uops":1000}`, ""},
+		{"no workloads", `{"modes":["OoO"],"measure_uops":1000}`, ""},
+		{"no window", `{"modes":["OoO"],"workloads":["mcf"]}`, ""},
+		{"unknown knob", `{"modes":["OoO"],"workloads":["mcf"],"measure_uops":1000,"points":[{"name":"p","knobs":{"warp_factor":9}}]}`, ""},
+		{"unknown space", `{"modes":["OoO"],"measure_uops":1000,"population":{"space_name":"nope","count":2}}`, ""},
+		{"removed fidelity field", `{"modes":["PRE"],"workloads":["mcf"],"measure_uops":1000,"fidelity":"exact"}`, "fidelity"},
+		{"misspelled window", `{"modes":["OoO"],"workloads":["mcf"],"measure_uops":1000,"warmup_uop":500}`, "warmup_uop"},
+		{"removed chain_cache_size knob", `{"modes":["PRE"],"workloads":["mcf"],"measure_uops":1000,"points":[{"name":"p","knobs":{"chain_cache_size":32}}]}`, "chain_cache_size"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -261,6 +268,9 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 			}
 			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
 				t.Errorf("400 body lacks an error message (%v)", err)
+			}
+			if tc.field != "" && !strings.Contains(e.Error, `"`+tc.field+`"`) {
+				t.Errorf("error %q does not name the field %q", e.Error, tc.field)
 			}
 		})
 	}

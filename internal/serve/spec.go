@@ -41,9 +41,6 @@ type JobSpec struct {
 	// is required (> 0); WarmupUops defaults to 0.
 	WarmupUops  int64 `json:"warmup_uops,omitempty"`
 	MeasureUops int64 `json:"measure_uops"`
-	// Fidelity selects the simulation tier ("exact" by default,
-	// "fast-runahead" for the approximate sweep tier).
-	Fidelity string `json:"fidelity,omitempty"`
 	// Baseline names the speedup denominator mode (default "OoO").
 	Baseline string `json:"baseline,omitempty"`
 	// AddBaseline forces a baseline run per (point, workload) even when
@@ -92,7 +89,6 @@ var knobSetters = map[string]func(*core.Config, int64){
 	"runahead_width":      func(c *core.Config, v int64) { c.RunaheadWidth = int(v) },
 	"min_runahead_cycles": func(c *core.Config, v int64) { c.MinRunaheadCycles = v },
 	"chain_max_len":       func(c *core.Config, v int64) { c.ChainMaxLen = int(v) },
-	"chain_cache_size":    func(c *core.Config, v int64) { c.ChainCacheSize = int(v) },
 	"replay_lookahead":    func(c *core.Config, v int64) { c.ReplayLookahead = v },
 	"pre_max_divergence":  func(c *core.Config, v int64) { c.PREMaxDivergence = int(v) },
 	"l1d_mshrs":           func(c *core.Config, v int64) { c.Mem.L1D.MSHRs = int(v) },
@@ -155,13 +151,6 @@ func (s JobSpec) Matrix() (exp.Matrix, error) {
 		return m, fmt.Errorf("spec: warmup_uops must be non-negative (got %d)", s.WarmupUops)
 	}
 	m.Options = sim.Options{WarmupUops: s.WarmupUops, MeasureUops: s.MeasureUops}
-	if s.Fidelity != "" {
-		fid, err := core.ParseFidelity(s.Fidelity)
-		if err != nil {
-			return m, fmt.Errorf("spec: fidelity: %w", err)
-		}
-		m.Options.Fidelity = fid
-	}
 	if s.Baseline != "" {
 		base, err := core.ParseMode(s.Baseline)
 		if err != nil {

@@ -41,11 +41,6 @@ type Options struct {
 	// only ever reads machine state, so the Result — and every byte of
 	// the results sink — is identical with tracing on or off.
 	Trace *telemetry.Recorder
-	// Fidelity selects the simulation fidelity tier (core.FidelityExact
-	// by default). A non-exact tier is applied to the configuration after
-	// Configure runs, so the tier-level request wins over per-point
-	// config tweaks; FidelityExact leaves the configuration untouched.
-	Fidelity core.Fidelity
 }
 
 // DefaultOptions returns the standard harness window.
@@ -111,16 +106,6 @@ type Result struct {
 
 	BranchMispredicts int64
 
-	// Fast-runahead fidelity tier (all omitted from the serialized
-	// result in the exact tier, which therefore stays byte-identical).
-	Fidelity           string  `json:",omitempty"`
-	EmulatedEpisodes   int64   `json:",omitempty"`
-	EmulatedPrefetches int64   `json:",omitempty"`
-	ChainCacheHits     int64   `json:",omitempty"`
-	ChainCacheMisses   int64   `json:",omitempty"`
-	ChainCacheEvicts   int64   `json:",omitempty"`
-	ChainOverlapMean   float64 `json:",omitempty"`
-
 	Energy energy.Breakdown
 }
 
@@ -137,9 +122,6 @@ func Run(w workload.Workload, mode core.Mode, opt Options) (Result, error) {
 	cfg := core.Default(mode)
 	if opt.Configure != nil {
 		opt.Configure(&cfg)
-	}
-	if opt.Fidelity != core.FidelityExact {
-		cfg.Fidelity = opt.Fidelity
 	}
 	c, err := core.New(cfg, w.New())
 	if err != nil {
@@ -251,18 +233,6 @@ func gather(name string, mode core.Mode, c *core.Core, opt Options) Result {
 		FreeFPFrac:          cs.FreeFPRegAtEntry.Mean(),
 		BranchMispredicts:   cs.BranchMispredicts,
 		Energy:              energy.Compute(params, act),
-	}
-	if cc := c.ChainCache(); cc != nil {
-		// Fast tier only: in the exact tier these stay zero values and the
-		// serialized result is byte-identical to pre-fidelity output.
-		ccs := cc.Stats()
-		r.Fidelity = core.FidelityFastRunahead.String()
-		r.EmulatedEpisodes = cs.EmulatedEpisodes
-		r.EmulatedPrefetches = cs.EmulatedPrefetches
-		r.ChainCacheHits = ccs.Hits
-		r.ChainCacheMisses = ccs.Misses
-		r.ChainCacheEvicts = ccs.Evicts
-		r.ChainOverlapMean = cc.OverlapMean()
 	}
 	return r
 }
