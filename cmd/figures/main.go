@@ -23,14 +23,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	presim "repro"
 	"repro/internal/core"
 	"repro/internal/exp"
 )
 
+// artifacts are the names -only accepts.
+var artifacts = []string{"table1", "fig2", "fig3", "e4", "e5", "e6", "e7", "e8", "e9", "pf", "synth"}
+
 func main() {
-	only := flag.String("only", "", "emit a single artifact: table1, fig2, fig3, e4, e5, e6, e7, e8, e9, pf, synth")
+	only := flag.String("only", "", "emit a single artifact: "+strings.Join(artifacts, ", "))
 	csvDir := flag.String("csv", "", "directory to also write CSV tables into")
 	jsonDir := flag.String("json", "", "directory to also write the full results JSON into")
 	warmup := flag.Int64("warmup", 50_000, "warmup µops per run")
@@ -39,6 +44,14 @@ func main() {
 	seeds := flag.Int("seeds", 16, "population size for the synth artifact")
 	progress := flag.Bool("progress", false, "print live per-run progress to stderr as each sweep advances")
 	flag.Parse()
+
+	// An unknown -only name would otherwise match no artifact and exit 0
+	// having printed nothing.
+	if *only != "" && !slices.Contains(artifacts, *only) {
+		fmt.Fprintf(os.Stderr, "figures: unknown -only artifact %q (want one of: %s)\n",
+			*only, strings.Join(artifacts, ", "))
+		os.Exit(2)
+	}
 
 	opt := presim.DefaultOptions()
 	opt.WarmupUops = *warmup

@@ -56,10 +56,15 @@ func main() {
 
 	if *all {
 		modes := presim.Modes()
-		results, err := presim.RunMatrix([]presim.Workload{w}, modes, opt)
+		plan, err := presim.Experiment{Name: w.Name, Workloads: []presim.Workload{w}, Modes: modes, Options: opt}.Expand()
 		if err != nil {
 			fatal(err)
 		}
+		set, err := plan.Run(0)
+		if err != nil {
+			fatal(err)
+		}
+		results := set.Grid(0)
 		base := results[0][0]
 		fmt.Printf("%s (%s, %d µops measured)\n\n", w.Name, w.Class, *measure)
 		fmt.Printf("%-10s %8s %9s %9s %10s %8s\n", "mode", "IPC", "speedup", "entries", "interval", "energy")
@@ -94,7 +99,7 @@ func main() {
 	}
 	fmt.Printf("benchmark       %s (%s)\n", r.Workload, w.Class)
 	fmt.Printf("mechanism       %s\n", r.Mode)
-	if variant.L1D.Enabled() || variant.L2.Enabled() {
+	if variant.Name != "no-pf" {
 		fmt.Printf("prefetchers     %s\n", variant.Name)
 	}
 	fmt.Printf("cycles          %d\n", r.Cycles)

@@ -24,10 +24,12 @@
 // artifact alone.
 //
 // The command is a thin frontend over the parallel experiment
-// orchestrator (internal/exp): each sweep becomes one exp.Matrix whose
-// points are the parameter values, the orchestrator dedupes the shared
-// OoO baselines and shards the unique runs across -workers cores, and
-// -json captures the full schema-versioned results document.
+// orchestrator (internal/exp). Each sweep is declared once, as a job spec
+// whose points are the parameter values: -server submits it to a
+// simulation server, and a local run compiles it to one exp.Matrix, whose
+// orchestrator dedupes the shared OoO baselines and shards the unique
+// runs across -workers cores. -json captures the full schema-versioned
+// results document, the same bytes on either path.
 package main
 
 import (
@@ -41,7 +43,6 @@ import (
 	"time"
 
 	presim "repro"
-	"repro/internal/core"
 	"repro/internal/exp"
 )
 
@@ -143,38 +144,30 @@ func main() {
 		}()
 	}
 
-	opt := presim.DefaultOptions()
-	opt.WarmupUops = *warmup
-	opt.MeasureUops = *measure
-
-	s := sweeper{opt: opt, workers: *workers, jsonDir: *jsonDir,
-		timing: *timing, progress: *progress, tracefile: *tracefile,
-		server: *server}
+	s := sweeper{warmup: *warmup, measure: *measure, workers: *workers,
+		jsonDir: *jsonDir, timing: *timing, progress: *progress,
+		tracefile: *tracefile, server: *server}
 
 	any := false
 	if *doSST {
 		any = true
 		s.sweep("a1_sst", "A1: SST entries (PRE speedup over OoO)", presim.ModePRE,
-			[]int{16, 32, 64, 128, 256, 512, 1024}, "sst_size",
-			func(c *core.Config, v int) { c.SSTSize = v })
+			[]int{16, 32, 64, 128, 256, 512, 1024}, "sst_size")
 	}
 	if *doEMQ {
 		any = true
 		s.sweep("a2_emq", "A2: EMQ entries (PRE+EMQ speedup over OoO)", presim.ModePREEMQ,
-			[]int{192, 384, 768, 1152, 1536}, "emq_size",
-			func(c *core.Config, v int) { c.EMQSize = v })
+			[]int{192, 384, 768, 1152, 1536}, "emq_size")
 	}
 	if *doRAT {
 		any = true
 		s.sweep("a3_rathreshold", "A3: RA minimum-interval filter, cycles (RA speedup over OoO)", presim.ModeRA,
-			[]int{0, 20, 40, 64, 100, 150}, "min_runahead_cycles",
-			func(c *core.Config, v int) { c.MinRunaheadCycles = int64(v) })
+			[]int{0, 20, 40, 64, 100, 150}, "min_runahead_cycles")
 	}
 	if *doMSHR {
 		any = true
 		s.sweep("mshr", "MSHR budget: L1D outstanding misses (PRE speedup over OoO)", presim.ModePRE,
-			[]int{8, 16, 32, 64}, "l1d_mshrs",
-			func(c *core.Config, v int) { c.Mem.L1D.MSHRs = v })
+			[]int{8, 16, 32, 64}, "l1d_mshrs")
 	}
 	if *doPF {
 		any = true
@@ -191,13 +184,13 @@ func main() {
 }
 
 type sweeper struct {
-	opt       presim.Options
-	workers   int
-	jsonDir   string
-	timing    bool
-	progress  bool
-	tracefile string
-	server    string // simulation-server URL; "" = run locally
+	warmup, measure int64
+	workers         int
+	jsonDir         string
+	timing          bool
+	progress        bool
+	tracefile       string
+	server          string // simulation-server URL; "" = run locally
 }
 
 // runOpts assembles the orchestrator options: the pool width, per-run
@@ -214,57 +207,84 @@ func (s sweeper) runOpts() exp.RunOptions {
 	return o
 }
 
-// writeTrace writes the merged trace sidecar when -tracefile was given.
-func (s sweeper) writeTrace(set *exp.Set) {
-	if s.tracefile == "" {
-		return
+// spec declares a sweep over the sweeper's measurement window.
+func (s sweeper) spec(name string, workloads []string, modes []presim.Mode, points []presim.JobPoint) presim.JobSpec {
+	spec := presim.JobSpec{Name: name, Workloads: workloads, Points: points,
+		WarmupUops: s.warmup, MeasureUops: s.measure}
+	for _, m := range modes {
+		spec.Modes = append(spec.Modes, m.String())
 	}
-	if err := set.WriteTrace(s.tracefile); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("  (trace sidecar written to %s)\n", s.tracefile)
+	return spec
 }
 
-// sweep runs the full suite at each parameter value and prints the
-// geometric-mean speedup over the (shared, deduplicated) OoO baseline.
-// knob is the parameter's wire name (serve.KnobNames), used when the
-// sweep is submitted to a remote server instead of run here.
+// run executes one sweep from its single declaration: -server submits
+// the spec as is; a local run compiles it with spec.Matrix(), lets the
+// orchestrator dedupe baselines and saturate the worker pool, and hands
+// the finished set to report for the stdout summary. Both paths write the
+// same results document to -json.
 //
 //sim:wallclock -timing progress display only; the JSON artifact carries its own audited meta
-func (s sweeper) sweep(name, title string, mode presim.Mode, values []int,
-	knob string, apply func(*core.Config, int)) {
-	fmt.Println(title)
+func (s sweeper) run(spec presim.JobSpec, report func(*presim.ExperimentPlan, *presim.ExperimentSet)) {
 	start := time.Now()
 	if s.server != "" {
-		points := make([]presim.JobPoint, len(values))
-		for i, v := range values {
-			points[i] = presim.JobPoint{
-				Name:  fmt.Sprintf("%d", v),
-				Knobs: map[string]int64{knob: int64(v)},
+		s.submitRemote(spec)
+	} else {
+		m, err := spec.Matrix()
+		if err != nil {
+			fatal(err)
+		}
+		plan, err := m.Expand()
+		if err != nil {
+			fatal(err)
+		}
+		set, err := plan.RunOpts(s.runOpts())
+		if err != nil {
+			fatal(err)
+		}
+		report(plan, set)
+		if s.jsonDir != "" {
+			if err := set.WriteFile(s.jsonDir, spec.Name); err != nil {
+				fatal(err)
 			}
 		}
-		s.submitRemote(name, presim.JobSpec{
-			Name:        name,
-			Workloads:   presim.WorkloadNames(),
-			Modes:       []string{mode.String()},
-			Points:      points,
-			WarmupUops:  s.opt.WarmupUops,
-			MeasureUops: s.opt.MeasureUops,
-			AddBaseline: true,
-		})
-	} else {
-		s.sweepLocal(name, mode, values, apply)
+		if s.tracefile != "" {
+			if err := set.WriteTrace(s.tracefile); err != nil {
+				fatal(err)
+			}
+			fmt.Printf("  (trace sidecar written to %s)\n", s.tracefile)
+		}
 	}
 	if s.timing {
 		fmt.Printf("  (wall-clock %.2fs)\n", time.Since(start).Seconds())
 	}
 }
 
+// sweep runs the full suite at each value of one whitelisted knob
+// (serve.KnobNames) and prints the geometric-mean speedup over the
+// (shared, deduplicated) OoO baseline.
+func (s sweeper) sweep(name, title string, mode presim.Mode, values []int, knob string) {
+	fmt.Println(title)
+	points := make([]presim.JobPoint, len(values))
+	for i, v := range values {
+		points[i] = presim.JobPoint{
+			Name:  fmt.Sprintf("%d", v),
+			Knobs: map[string]int64{knob: int64(v)},
+		}
+	}
+	spec := s.spec(name, presim.WorkloadNames(), []presim.Mode{mode}, points)
+	spec.AddBaseline = true
+	s.run(spec, func(_ *presim.ExperimentPlan, set *presim.ExperimentSet) {
+		for pi, v := range values {
+			fmt.Printf("  %6d: %.3fx\n", v, set.GeoMeanSpeedups(pi)[0])
+		}
+	})
+}
+
 // submitRemote submits one job spec to the -server instance, streams its
 // events (surfaced via -progress), waits for completion, and captures
 // the results document into -json. The document is byte-identical to a
 // local run's, whether the server simulated or served from cache.
-func (s sweeper) submitRemote(name string, spec presim.JobSpec) {
+func (s sweeper) submitRemote(spec presim.JobSpec) {
 	cl := presim.NewClient(s.server)
 	ctx := context.Background()
 	st, err := cl.Submit(ctx, spec)
@@ -302,194 +322,75 @@ func (s sweeper) submitRemote(name string, spec presim.JobSpec) {
 	if err := os.MkdirAll(s.jsonDir, 0o755); err != nil {
 		fatal(err)
 	}
-	path := filepath.Join(s.jsonDir, name+".json")
+	path := filepath.Join(s.jsonDir, spec.Name+".json")
 	if err := os.WriteFile(path, doc, 0o644); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("  (results JSON written to %s)\n", path)
 }
 
-// sweepLocal expresses the sweep as one exp.Matrix and lets the
-// orchestrator dedupe baselines and saturate the worker pool.
-func (s sweeper) sweepLocal(name string, mode presim.Mode, values []int,
-	apply func(*core.Config, int)) {
-	points := make([]exp.Point, len(values))
-	for i, v := range values {
-		v := v
-		points[i] = exp.Point{
-			Name:  fmt.Sprintf("%d", v),
-			Apply: func(c *core.Config) { apply(c, v) },
-		}
-	}
-	m := exp.Matrix{
-		Name:        name,
-		Workloads:   presim.Workloads(),
-		Modes:       []presim.Mode{mode},
-		Points:      points,
-		Options:     s.opt,
-		AddBaseline: true,
-	}
-	plan, err := m.Expand()
-	if err != nil {
-		fatal(err)
-	}
-	set, err := plan.RunOpts(s.runOpts())
-	if err != nil {
-		fatal(err)
-	}
-	for pi, v := range values {
-		fmt.Printf("  %6d: %.3fx\n", v, set.GeoMeanSpeedups(pi)[0])
-	}
-	if s.jsonDir != "" {
-		if err := set.WriteFile(s.jsonDir, name); err != nil {
-			fatal(err)
-		}
-	}
-	s.writeTrace(set)
-}
-
 // sweepPF runs the PF grid: every runahead mechanism crossed with every
-// hardware-prefetcher variant over the full suite, one exp.Matrix. The
-// grid summary (geomean speedups over each variant's own OoO baseline)
-// and per-variant prefetcher quality print to stdout; the full per-run
+// hardware-prefetcher variant over the full suite. The grid summary
+// (geomean speedups over each variant's own OoO baseline) and
+// per-variant prefetcher quality print to stdout; the full per-run
 // counters land in the -json sink.
-//
-//sim:wallclock -timing progress display only; the JSON artifact carries its own audited meta
 func (s sweeper) sweepPF() {
 	fmt.Println("PF grid: mechanisms x hardware prefetchers (speedup over per-variant OoO)")
-	start := time.Now()
-	if s.server != "" {
-		modes := make([]string, 0, len(presim.Modes()))
-		for _, m := range presim.Modes() {
-			modes = append(modes, m.String())
+	var points []presim.JobPoint
+	for _, v := range presim.PrefetchVariants() {
+		points = append(points, presim.JobPoint{Name: v.Name, PrefetchVariant: v.Name})
+	}
+	spec := s.spec("pf_grid", presim.WorkloadNames(), presim.Modes(), points)
+	s.run(spec, func(plan *presim.ExperimentPlan, set *presim.ExperimentSet) {
+		points := plan.Points()
+		summary := make([][]float64, len(points))
+		for pi := range points {
+			summary[pi] = set.GeoMeanSpeedups(pi)
 		}
-		var points []presim.JobPoint
-		for _, v := range presim.PrefetchVariants() {
-			points = append(points, presim.JobPoint{Name: v.Name, PrefetchVariant: v.Name})
-		}
-		s.submitRemote("pf_grid", presim.JobSpec{
-			Name:        "pf_grid",
-			Workloads:   presim.WorkloadNames(),
-			Modes:       modes,
-			Points:      points,
-			WarmupUops:  s.opt.WarmupUops,
-			MeasureUops: s.opt.MeasureUops,
-		})
-		return
-	}
-	m := exp.Matrix{
-		Name:      "pf_grid",
-		Workloads: presim.Workloads(),
-		Modes:     presim.Modes(),
-		Points:    presim.PrefetchPoints(),
-		Options:   s.opt,
-	}
-	plan, err := m.Expand()
-	if err != nil {
-		fatal(err)
-	}
-	set, err := plan.RunOpts(s.runOpts())
-	if err != nil {
-		fatal(err)
-	}
-	points := plan.Points()
-	summary := make([][]float64, len(points))
-	for pi := range points {
-		summary[pi] = set.GeoMeanSpeedups(pi)
-	}
-	presim.PFGridTable(points, presim.Modes(), summary).Write(os.Stdout)
-	for pi, p := range points {
-		var acc, cov, tim float64
-		var n int
-		for wi := range m.Workloads {
-			r := set.Result(pi, wi, 0) // prefetcher quality under the OoO cell
-			if r.HWPrefIssued == 0 {
-				continue
+		presim.PFGridTable(points, presim.Modes(), summary).Write(os.Stdout)
+		for pi, p := range points {
+			var acc, cov, tim float64
+			var n int
+			for wi := range plan.Workloads() {
+				r := set.Result(pi, wi, 0) // prefetcher quality under the OoO cell
+				if r.HWPrefIssued == 0 {
+					continue
+				}
+				acc += r.HWPFAccuracy
+				cov += r.HWPFCoverage
+				tim += r.HWPFTimeliness
+				n++
 			}
-			acc += r.HWPFAccuracy
-			cov += r.HWPFCoverage
-			tim += r.HWPFTimeliness
-			n++
+			if n > 0 {
+				fmt.Printf("  %-12s OoO-cell prefetch quality: accuracy %.0f%%, coverage %.0f%%, timeliness %.0f%% (mean over %d workloads)\n",
+					p, 100*acc/float64(n), 100*cov/float64(n), 100*tim/float64(n), n)
+			}
 		}
-		if n > 0 {
-			fmt.Printf("  %-12s OoO-cell prefetch quality: accuracy %.0f%%, coverage %.0f%%, timeliness %.0f%% (mean over %d workloads)\n",
-				p, 100*acc/float64(n), 100*cov/float64(n), 100*tim/float64(n), n)
-		}
-	}
-	if s.timing {
-		meta := set.Meta()
-		fmt.Printf("  (wall-clock %.2fs, %d workers, GOMAXPROCS %d, %d unique runs)\n",
-			time.Since(start).Seconds(), meta.EffectiveWorkers, meta.GOMAXPROCS, meta.UniqueRuns)
-	}
-	if s.jsonDir != "" {
-		if err := set.WriteFile(s.jsonDir, "pf_grid"); err != nil {
-			fatal(err)
-		}
-	}
-	s.writeTrace(set)
+	})
 }
 
 // sweepSynth runs the population sweep: count seeded scenarios sampled
 // from the default synth space, crossed with every mechanism, summarized
 // as per-seed speedup distributions. The -json artifact records every
 // scenario's sampled parameters (schema v3 "synth" cell field).
-//
-//sim:wallclock -timing progress display only; the JSON artifact carries its own audited meta
 func (s sweeper) sweepSynth(count int, baseSeed uint64) {
 	fmt.Printf("Synth population: %d seeded scenarios x all mechanisms (speedup over OoO)\n", count)
-	start := time.Now()
-	if s.server != "" {
-		modes := make([]string, 0, len(presim.Modes()))
-		for _, m := range presim.Modes() {
-			modes = append(modes, m.String())
+	spec := s.spec("synth_population", nil, presim.Modes(), nil)
+	spec.Population = &presim.JobPopulation{SpaceName: "default", Count: count}
+	if baseSeed != 0 {
+		spec.Population.BaseSeed = fmt.Sprintf("%x", baseSeed)
+	}
+	s.run(spec, func(plan *presim.ExperimentPlan, set *presim.ExperimentSet) {
+		points := plan.Points()
+		stats := make([][]presim.PopulationStat, len(points))
+		for pi := range points {
+			stats[pi] = set.PopulationStats(pi)
 		}
-		pop := &presim.JobPopulation{SpaceName: "default", Count: count}
-		if baseSeed != 0 {
-			pop.BaseSeed = fmt.Sprintf("%x", baseSeed)
+		presim.PopulationGridTable(points, stats).Write(os.Stdout)
+		if s.jsonDir != "" {
+			fmt.Printf("  (per-seed parameters recorded in %s/synth_population.json cells[].synth)\n", s.jsonDir)
 		}
-		s.submitRemote("synth_population", presim.JobSpec{
-			Name:        "synth_population",
-			Modes:       modes,
-			Population:  pop,
-			WarmupUops:  s.opt.WarmupUops,
-			MeasureUops: s.opt.MeasureUops,
-		})
-		return
-	}
-	m := exp.Matrix{
-		Name:  "synth_population",
-		Modes: presim.Modes(),
-		Population: &exp.Population{
-			Space: presim.DefaultSynthSpace(), Count: count, BaseSeed: baseSeed,
-		},
-		Options: s.opt,
-	}
-	plan, err := m.Expand()
-	if err != nil {
-		fatal(err)
-	}
-	set, err := plan.RunOpts(s.runOpts())
-	if err != nil {
-		fatal(err)
-	}
-	points := plan.Points()
-	stats := make([][]presim.PopulationStat, len(points))
-	for pi := range points {
-		stats[pi] = set.PopulationStats(pi)
-	}
-	presim.PopulationGridTable(points, stats).Write(os.Stdout)
-	if s.timing {
-		meta := set.Meta()
-		fmt.Printf("  (wall-clock %.2fs, %d workers, %d unique runs)\n",
-			time.Since(start).Seconds(), meta.EffectiveWorkers, meta.UniqueRuns)
-	}
-	if s.jsonDir != "" {
-		if err := set.WriteFile(s.jsonDir, "synth_population"); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("  (per-seed parameters recorded in %s/synth_population.json cells[].synth)\n", s.jsonDir)
-	}
-	s.writeTrace(set)
+	})
 }
 
 func fatal(err error) {

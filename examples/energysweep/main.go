@@ -27,10 +27,15 @@ func main() {
 		}
 		ws = append(ws, w)
 	}
-	results, err := presim.RunMatrix(ws, modes, opt)
+	plan, err := presim.Experiment{Name: "energysweep", Workloads: ws, Modes: modes, Options: opt}.Expand()
 	if err != nil {
 		log.Fatal(err)
 	}
+	set, err := plan.Run(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	results := set.Grid(0)
 
 	for wi, w := range ws {
 		base := results[wi][0]

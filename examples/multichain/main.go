@@ -18,21 +18,29 @@ func main() {
 	opt.MeasureUops = 200_000
 	modes := presim.Modes()
 
+	var ws []presim.Workload
 	for _, name := range []string{"libquantum", "lbm"} {
 		w, err := presim.WorkloadByName(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		results, err := presim.RunMatrix([]presim.Workload{w}, modes, opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		base := results[0][0]
+		ws = append(ws, w)
+	}
+	plan, err := presim.Experiment{Name: "multichain", Workloads: ws, Modes: modes, Options: opt}.Expand()
+	if err != nil {
+		log.Fatal(err)
+	}
+	set, err := plan.Run(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for wi, row := range set.Grid(0) {
+		w, base := ws[wi], row[0]
 		fmt.Printf("%s (%s, %d nominal chain(s)):\n", w.Name, w.Class, w.Chains)
 		for mi, m := range modes {
-			r := results[0][mi]
+			r := row[mi]
 			marker := ""
-			if sp := r.Speedup(base); sp >= bestSpeedup(results[0], base) && m != presim.ModeOoO {
+			if sp := r.Speedup(base); sp >= bestSpeedup(row, base) && m != presim.ModeOoO {
 				marker = "  <- best"
 			}
 			fmt.Printf("  %-10s IPC %.3f  speedup %.2fx%s\n", m, r.IPC, r.Speedup(base), marker)

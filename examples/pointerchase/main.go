@@ -38,15 +38,20 @@ func main() {
 		})
 	})
 
-	for _, w := range []presim.Workload{pure, computable} {
-		results, err := presim.RunMatrix([]presim.Workload{w}, modes, opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		base := results[0][0]
-		fmt.Printf("%s (baseline IPC %.3f):\n", w.Name, base.IPC)
+	ws := []presim.Workload{pure, computable}
+	plan, err := presim.Experiment{Name: "pointerchase", Workloads: ws, Modes: modes, Options: opt}.Expand()
+	if err != nil {
+		log.Fatal(err)
+	}
+	set, err := plan.Run(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for wi, row := range set.Grid(0) {
+		base := row[0]
+		fmt.Printf("%s (baseline IPC %.3f):\n", ws[wi].Name, base.IPC)
 		for mi, m := range modes {
-			r := results[0][mi]
+			r := row[mi]
 			fmt.Printf("  %-10s speedup %.2fx  (runahead entries %d, useful prefetches %d)\n",
 				m, r.Speedup(base), r.Entries, r.PrefetchUseful)
 		}

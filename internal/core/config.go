@@ -21,6 +21,12 @@
 //     during runahead are buffered and re-dispatched from the
 //     EMQ at exit instead of being re-fetched; runahead depth
 //     is bounded by the EMQ capacity.
+//
+// The mechanisms differ along four axes, recorded once per mode in
+// modeTable. Every mode-dependent branch of the core, and the knob
+// canonicalization behind the experiment dedup key (Config.Canonical),
+// tests those axes through Mode's predicates rather than naming modes,
+// so the table is the one place to add a mechanism.
 package core
 
 import (
@@ -45,12 +51,45 @@ const (
 	numModes
 )
 
-var modeNames = [numModes]string{"OoO", "RA", "RA-buffer", "PRE", "PRE+EMQ"}
+// modeInfo is one mechanism's row of modeTable: its report name and the
+// family bits the core's mode-dependent branches read.
+type modeInfo struct {
+	name string
+	// discards: runahead pseudo-retires the window and, at exit,
+	// flushes it and re-fetches from the stalling load (or restores the
+	// entry snapshot under FreeExit); entry is gated by the
+	// short-interval filter.
+	discards bool
+	// replays: runahead dispatches one extracted dependence chain from
+	// the runahead buffer while the front-end is power-gated.
+	replays bool
+	// precise: runahead keeps the window and executes the stalling
+	// slices (SST hits) on free resources reclaimed through the PRDQ.
+	precise bool
+	// emq: µops decoded during runahead are buffered in the EMQ and
+	// re-dispatched from it at exit instead of being re-fetched.
+	emq bool
+}
+
+var modeTable = [numModes]modeInfo{
+	ModeOoO:      {name: "OoO"},
+	ModeRA:       {name: "RA", discards: true},
+	ModeRABuffer: {name: "RA-buffer", discards: true, replays: true},
+	ModePRE:      {name: "PRE", precise: true},
+	ModePREEMQ:   {name: "PRE+EMQ", precise: true, emq: true},
+}
+
+// Family predicates; m must be a valid mode (Config.Validate checks).
+func (m Mode) discards() bool  { return modeTable[m].discards }
+func (m Mode) replays() bool   { return modeTable[m].replays }
+func (m Mode) precise() bool   { return modeTable[m].precise }
+func (m Mode) emq() bool       { return modeTable[m].emq }
+func (m Mode) runsAhead() bool { return m.discards() || m.precise() }
 
 // String returns the paper's name for the mechanism.
 func (m Mode) String() string {
-	if int(m) < len(modeNames) {
-		return modeNames[m]
+	if m < numModes {
+		return modeTable[m].name
 	}
 	return fmt.Sprintf("mode(%d)", uint8(m))
 }
@@ -58,7 +97,7 @@ func (m Mode) String() string {
 // ParseMode resolves a mechanism name as used in reports and CLI flags.
 func ParseMode(s string) (Mode, error) {
 	for m := ModeOoO; m < numModes; m++ {
-		if modeNames[m] == s {
+		if modeTable[m].name == s {
 			return m, nil
 		}
 	}
@@ -67,7 +106,11 @@ func ParseMode(s string) (Mode, error) {
 
 // Modes lists all mechanisms in evaluation order.
 func Modes() []Mode {
-	return []Mode{ModeOoO, ModeRA, ModeRABuffer, ModePRE, ModePREEMQ}
+	ms := make([]Mode, numModes)
+	for i := range ms {
+		ms[i] = Mode(i)
+	}
+	return ms
 }
 
 // Config is the full core configuration (Table 1 defaults via Default).
@@ -163,6 +206,35 @@ func (c *Config) ApplyPrefetch(v prefetch.Variant) {
 	c.Mem.L1DPrefetch = v.L1D
 	c.Mem.L2Prefetch = v.L2
 	c.Mem.RunaheadFilter = v.Filter
+}
+
+// Canonical returns c with every knob its mode never reads zeroed, so
+// configurations that cannot produce different results are equal (and
+// render identically) — the identity exp.CellKey dedups and caches on.
+// An unknown mode is returned unchanged.
+func (c Config) Canonical() Config {
+	m := c.Mode
+	if m >= numModes {
+		return c
+	}
+	if !m.runsAhead() {
+		// The PRE-aware prefetch filter only drops duplicates of
+		// runahead-tagged fills, which a baseline never creates.
+		c.Mem.RunaheadFilter = false
+	}
+	if !m.discards() {
+		c.MinRunaheadCycles, c.FreeExit = 0, false
+	}
+	if !m.replays() {
+		c.ChainMaxLen, c.ReplayLookahead = 0, 0
+	}
+	if !m.precise() {
+		c.RunaheadWidth, c.SSTSize, c.PRDQSize, c.PREMaxDivergence = 0, 0, 0, 0
+	}
+	if !m.emq() {
+		c.EMQSize = 0
+	}
+	return c
 }
 
 // Validate checks the configuration for consistency.

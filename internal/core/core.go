@@ -155,7 +155,7 @@ func New(cfg Config, gen trace.Generator) (*Core, error) {
 		return nil, err
 	}
 	stream := trace.NewStream(gen)
-	if cfg.Mode == ModeRABuffer {
+	if cfg.Mode.replays() {
 		// The replay engine's cursor keeps moving forward within an
 		// episode, and each prepared iteration scans ReplayLookahead µops
 		// past it, all while commit (and hence trace release) is stalled on
@@ -484,7 +484,7 @@ func (c *Core) completeOne(ev completion) {
 		c.stats.BranchMispredicts++
 		m.flags &^= fMispredicted
 		switch {
-		case c.inRunahead && c.cfg.Mode == ModeRABuffer:
+		case c.inRunahead && c.cfg.Mode.replays():
 			// Front-end is power-gated; nothing to redirect.
 		case c.inRunahead && c.pseudoRetire && m.flags&fInvResult != 0:
 			// An INV-source branch cannot actually be resolved:
@@ -735,16 +735,14 @@ func (c *Core) countIssue(class uarch.Class) {
 
 func (c *Core) dispatchStage() {
 	if c.inRunahead {
-		switch c.cfg.Mode {
-		case ModeRA:
-			c.dispatchNormal(true)
-		case ModeRABuffer:
+		switch mode := c.cfg.Mode; {
+		case mode.replays(): // ahead of discards, which RA-buffer also sets
 			c.dispatchReplay()
-		case ModePRE, ModePREEMQ:
+		case mode.discards():
+			c.dispatchNormal(true)
+		case mode.precise():
 			c.dispatchPRE()
-		}
-		// PRE frees runahead registers as the PRDQ drains in order.
-		if c.cfg.Mode == ModePRE || c.cfg.Mode == ModePREEMQ {
+			// PRE frees runahead registers as the PRDQ drains in order.
 			if c.prdq.Drain(c.renFree) > 0 {
 				c.progressed = true // freed registers can unblock dispatch
 			}
@@ -846,7 +844,7 @@ func (c *Core) dispatchOne(slot frontend.Slot, inRunahead bool) bool {
 
 	// PRE's SST learns in normal mode too: every decoded µop probes the
 	// SST; hits pull their producers' PCs in (Section 3.2).
-	if c.cfg.Mode == ModePRE || c.cfg.Mode == ModePREEMQ {
+	if c.cfg.Mode.precise() {
 		if c.sst.Lookup(u.PC) {
 			c.learnProducers(u)
 		}

@@ -92,6 +92,17 @@ func TestModeStringsAndParse(t *testing.T) {
 	}
 }
 
+// Canonical cannot know which knobs an unknown mode reads, so it must
+// keep them all: the dedup key then errs toward distinct runs.
+func TestCanonicalKeepsUnknownMode(t *testing.T) {
+	cfg := Default(ModePRE)
+	cfg.Mode = numModes
+	cfg.FreeExit = true
+	if got := cfg.Canonical(); got != cfg {
+		t.Errorf("Canonical changed an unknown-mode config:\ngot  %+v\nwant %+v", got, cfg)
+	}
+}
+
 func TestALULoopIPC(t *testing.T) {
 	c := newCore(t, ModeOoO, &aluGen{})
 	run(t, c, 2000) // warm up

@@ -9,10 +9,10 @@ import (
 // maybeEnterRunahead decides whether the full-window stall at head starts
 // a runahead episode. (hm, hr) must be the (incomplete) ROB head entry.
 func (c *Core) maybeEnterRunahead(hm *slotMeta, hr *uopRec) {
-	if c.cfg.Mode == ModeOoO || c.inRunahead {
+	if !c.cfg.Mode.runsAhead() || c.inRunahead {
 		return
 	}
-	if c.cfg.Mode == ModePREEMQ && c.emqDraining {
+	if c.cfg.Mode.emq() && c.emqDraining {
 		// The EMQ is still re-dispatching the previous episode's µops;
 		// entering now would interleave new buffered µops with old ones.
 		return
@@ -28,7 +28,7 @@ func (c *Core) maybeEnterRunahead(hm *slotMeta, hr *uopRec) {
 	if remaining <= 2 {
 		return // returning this very moment; nothing to run ahead of
 	}
-	if c.cfg.Mode == ModeRA || c.cfg.Mode == ModeRABuffer {
+	if c.cfg.Mode.discards() {
 		// Mutlu's short-interval filter, using the load's predicted
 		// remaining latency (the simulator's readyAt stands in for the
 		// MSHR-age estimate real hardware uses). PRE deliberately has no
@@ -72,8 +72,8 @@ func (c *Core) enterRunahead(hm *slotMeta, hr *uopRec) {
 	c.stats.FreeIntRegAtEntry.Observe(float64(intFree) / float64(c.cfg.Rename.IntPRF))
 	c.stats.FreeFPRegAtEntry.Observe(float64(fpFree) / float64(c.cfg.Rename.FPPRF))
 
-	switch c.cfg.Mode {
-	case ModeRA, ModeRABuffer:
+	switch mode := c.cfg.Mode; {
+	case mode.discards():
 		c.ren.CheckpointCommittedInto(&c.cpFullBuf)
 		c.cpFull = &c.cpFullBuf
 		c.pseudoRetire = true
@@ -107,10 +107,10 @@ func (c *Core) enterRunahead(hm *slotMeta, hr *uopRec) {
 				idx = 0
 			}
 		}
-		if c.cfg.Mode == ModeRABuffer {
+		if mode.replays() {
 			c.initReplay()
 		}
-	case ModePRE, ModePREEMQ:
+	case mode.precise():
 		// Section 3.1: checkpoint the RAT; discard nothing. The stalling
 		// load's register is poisoned but NOT published: normal-mode
 		// consumers keep waiting for the real data while runahead slice
@@ -141,8 +141,8 @@ func (c *Core) exitRunahead() {
 			c.stats.Prefetches-c.telPrefetches,
 			c.stats.RunaheadINV-c.telINV)
 	}
-	switch c.cfg.Mode {
-	case ModeRA, ModeRABuffer:
+	switch mode := c.cfg.Mode; {
+	case mode.discards():
 		if c.cfg.FreeExit && c.snap != nil {
 			c.restoreSnapshot(c.snap)
 			c.snap = nil
@@ -162,7 +162,7 @@ func (c *Core) exitRunahead() {
 		}
 		c.chain = nil
 		c.replayPending = c.replayPending[:0]
-	case ModePRE, ModePREEMQ:
+	case mode.precise():
 		// Section 3.5: restore the RAT, drop runahead transients; the ROB
 		// is intact, so commit restarts immediately once the head's
 		// completion event lands (this cycle).
@@ -172,7 +172,7 @@ func (c *Core) exitRunahead() {
 		c.prdq.Clear()
 		c.ren.RestoreSpec(c.cpSpec)
 		c.ren.ClearPoison(c.stallDstP)
-		if c.cfg.Mode == ModePREEMQ {
+		if mode.emq() {
 			// Re-dispatch buffered µops instead of re-fetching them. The
 			// fetch queue already continues exactly where the EMQ ends
 			// (runahead popped µops into the EMQ in fetch order), so the
@@ -201,7 +201,7 @@ func (c *Core) dispatchPRE() {
 	if c.preScanStop {
 		return
 	}
-	useEMQ := c.cfg.Mode == ModePREEMQ
+	useEMQ := c.cfg.Mode.emq()
 	for n := 0; n < c.cfg.RunaheadWidth; n++ {
 		var seq int64
 		var misp, fromEMQ bool

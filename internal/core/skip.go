@@ -185,7 +185,7 @@ func (c *Core) wakeBound() int64 {
 		if c.exitCycle < bound {
 			bound = c.exitCycle
 		}
-		if c.cfg.Mode == ModeRABuffer && !c.replayDead && c.replayStart >= c.now && c.replayStart < bound {
+		if c.cfg.Mode.replays() && !c.replayDead && c.replayStart >= c.now && c.replayStart < bound {
 			bound = c.replayStart
 		}
 	}

@@ -8,7 +8,7 @@ import (
 // pipeSnapshot captures the whole pipeline at runahead entry for the E6
 // ablation (Section 2.4): "the speedup has the potential to reach up to
 // 20.6 percent if the instructions that occupy the ROB when the core
-// enters runahead mode are not discarded". With Config.FreeExit, ModeRA
+// enters runahead mode are not discarded". With Config.FreeExit, RA
 // restores this snapshot at exit instead of flushing, modelling an
 // idealized runahead with zero discard/refill cost. Memory-system state is
 // deliberately NOT restored: the prefetches issued during runahead are the

@@ -16,9 +16,9 @@
 //
 // Deduplication exploits mode-irrelevant configuration: an OoO baseline
 // does not read SSTSize, so a seven-point SST sweep needs the baseline
-// simulated once, not seven times. canonicalConfig encodes which knobs
-// each mechanism actually reads; identical canonical configurations
-// share one simulation.
+// simulated once, not seven times. core.Config.Canonical zeroes the knobs
+// a mechanism never reads; identical canonical configurations share one
+// simulation.
 package exp
 
 import (
@@ -527,73 +527,4 @@ func (s *Set) Grid(pi int) [][]sim.Result {
 		grid[wi] = row
 	}
 	return grid
-}
-
-// runKey renders the canonical identity of a fixed-workload simulation —
-// a convenience over CellKeyFor for the dedup-equivalence tests. Two runs
-// with equal keys are guaranteed to produce equal Results.
-func runKey(workload string, opt sim.Options, cfg core.Config) string {
-	return CellKeyFor(workload, nil, opt, cfg).String()
-}
-
-// canonicalConfig zeroes the runahead knobs the configuration's mode never
-// reads, so configurations that differ only in mode-irrelevant knobs
-// fingerprint identically and share one simulation. The table mirrors
-// internal/core's per-mode knob usage (see runctl.go); exp's tests pin it
-// empirically by asserting result equality across irrelevant knob values.
-func canonicalConfig(cfg core.Config) core.Config {
-	c := cfg
-	type knobs struct {
-		runaheadWidth, sst, prdq, emq, chain, minCycles, divergence, replay, freeExit bool
-	}
-	var keep knobs
-	switch c.Mode {
-	case core.ModeOoO:
-		// The baseline reads none of the runahead machinery. The
-		// PRE-aware prefetch filter is also inert here — it only drops
-		// duplicates of runahead-tagged fills, which a baseline never
-		// creates — so filtered and unfiltered variants share a baseline.
-		c.Mem.RunaheadFilter = false
-	case core.ModeRA:
-		keep = knobs{minCycles: true, freeExit: true}
-	case core.ModeRABuffer:
-		// runctl.go's entry/exit paths read FreeExit for RA-buffer too;
-		// Config.Validate currently restricts the knob to ModeRA, but the
-		// dedup key must not depend on that staying true.
-		keep = knobs{chain: true, minCycles: true, replay: true, freeExit: true}
-	case core.ModePRE:
-		keep = knobs{runaheadWidth: true, sst: true, prdq: true, divergence: true}
-	case core.ModePREEMQ:
-		keep = knobs{runaheadWidth: true, sst: true, prdq: true, emq: true, divergence: true}
-	default:
-		return c // unknown mode: keep everything, dedup conservatively
-	}
-	if !keep.runaheadWidth {
-		c.RunaheadWidth = 0
-	}
-	if !keep.sst {
-		c.SSTSize = 0
-	}
-	if !keep.prdq {
-		c.PRDQSize = 0
-	}
-	if !keep.emq {
-		c.EMQSize = 0
-	}
-	if !keep.chain {
-		c.ChainMaxLen = 0
-	}
-	if !keep.minCycles {
-		c.MinRunaheadCycles = 0
-	}
-	if !keep.divergence {
-		c.PREMaxDivergence = 0
-	}
-	if !keep.replay {
-		c.ReplayLookahead = 0
-	}
-	if !keep.freeExit {
-		c.FreeExit = false
-	}
-	return c
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -15,6 +16,12 @@ import (
 	"repro/internal/workload"
 	"repro/internal/workload/synth"
 )
+
+// runKey renders the canonical identity of a fixed-workload simulation:
+// two runs with equal keys are guaranteed to produce equal Results.
+func runKey(workload string, opt sim.Options, cfg core.Config) string {
+	return CellKeyFor(workload, nil, opt, cfg).String()
+}
 
 // testOpt keeps windows small: these tests run whole matrices.
 func testOpt() sim.Options {
@@ -68,50 +75,100 @@ func TestExpandDedup(t *testing.T) {
 	}
 }
 
-// TestBaselineSharingIsSound pins the canonicalConfig assumption
-// empirically: simulating OoO with different (mode-irrelevant) runahead
-// knobs must produce identical results, otherwise deduplication would
-// change answers.
+// runaheadKnobs states, independently of core, which mechanisms read
+// each mode-dependent knob, with a non-default value for it. The dedup
+// key (core.Config.Canonical) must drop exactly the knobs a mode does not
+// read: the two tests below check each direction.
+var runaheadKnobs = []struct {
+	name    string
+	readers []core.Mode
+	vary    func(*core.Config)
+}{
+	{"RunaheadWidth", []core.Mode{core.ModePRE, core.ModePREEMQ},
+		func(c *core.Config) { c.RunaheadWidth = 12 }},
+	{"SSTSize", []core.Mode{core.ModePRE, core.ModePREEMQ},
+		func(c *core.Config) { c.SSTSize = 16 }},
+	{"PRDQSize", []core.Mode{core.ModePRE, core.ModePREEMQ},
+		func(c *core.Config) { c.PRDQSize = 64 }},
+	{"PREMaxDivergence", []core.Mode{core.ModePRE, core.ModePREEMQ},
+		func(c *core.Config) { c.PREMaxDivergence = 1 }},
+	{"EMQSize", []core.Mode{core.ModePREEMQ},
+		func(c *core.Config) { c.EMQSize = 1536 }},
+	{"ChainMaxLen", []core.Mode{core.ModeRABuffer},
+		func(c *core.Config) { c.ChainMaxLen = 8 }},
+	{"ReplayLookahead", []core.Mode{core.ModeRABuffer},
+		func(c *core.Config) { c.ReplayLookahead = 64 }},
+	{"MinRunaheadCycles", []core.Mode{core.ModeRA, core.ModeRABuffer},
+		func(c *core.Config) { c.MinRunaheadCycles = 999 }},
+	{"FreeExit", []core.Mode{core.ModeRA, core.ModeRABuffer},
+		func(c *core.Config) { c.FreeExit = true }},
+	{"Mem.RunaheadFilter", []core.Mode{core.ModeRA, core.ModeRABuffer, core.ModePRE, core.ModePREEMQ},
+		func(c *core.Config) { c.Mem.RunaheadFilter = true }},
+}
+
+// TestBaselineSharingIsSound pins the dedup key's knob table empirically:
+// for every mode, simulating with every knob the mode does not read set
+// to a non-default value must produce identical results (and an identical
+// key), otherwise deduplication would change answers. Knobs Validate
+// rejects for the mode (FreeExit outside RA) cannot reach a simulation
+// and are left at their defaults.
 func TestBaselineSharingIsSound(t *testing.T) {
 	w := testWorkloads(t)[1] // milc
-	run := func(configure func(*core.Config)) sim.Result {
-		opt := testOpt()
-		opt.Configure = configure
-		r, err := sim.Run(w, core.ModeOoO, opt)
-		if err != nil {
-			t.Fatal(err)
+	for _, mode := range core.Modes() {
+		varied := core.Default(mode)
+		var ignored []string
+		for _, k := range runaheadKnobs {
+			if slices.Contains(k.readers, mode) {
+				continue
+			}
+			probe := varied
+			k.vary(&probe)
+			if probe.Validate() == nil {
+				varied = probe
+				ignored = append(ignored, k.name)
+			}
 		}
-		return r
-	}
-	base := run(nil)
-	varied := run(func(c *core.Config) {
-		c.SSTSize = 16
-		c.EMQSize = 1536
-		c.ChainMaxLen = 8
-		c.MinRunaheadCycles = 999
-		c.PREMaxDivergence = 1
-		c.ReplayLookahead = 64
-		c.RunaheadWidth = 12
-	})
-	if !reflect.DeepEqual(base, varied) {
-		t.Errorf("OoO results depend on runahead knobs; canonicalConfig's table is wrong:\nbase   %+v\nvaried %+v", base, varied)
+		if len(ignored) == 0 {
+			t.Fatalf("%v: no ignored knob to vary", mode)
+		}
+		run := func(configure func(*core.Config)) sim.Result {
+			opt := testOpt()
+			opt.Configure = configure
+			r, err := sim.Run(w, mode, opt)
+			if err != nil {
+				t.Fatalf("%v: %v", mode, err)
+			}
+			return r
+		}
+		base := run(nil)
+		if mode != core.ModeOoO && base.Entries == 0 {
+			t.Errorf("%v never entered runahead on %s; the comparison would show nothing", mode, w.Name)
+		}
+		got := run(func(c *core.Config) { *c = varied })
+		if !reflect.DeepEqual(base, got) {
+			t.Errorf("%v results depend on knobs the dedup key drops (%v):\nbase   %+v\nvaried %+v",
+				mode, ignored, base, got)
+		}
+		if runKey("w", testOpt(), core.Default(mode)) != runKey("w", testOpt(), varied) {
+			t.Errorf("%v: varying ignored knobs %v changed the dedup key", mode, ignored)
+		}
 	}
 }
 
-// TestModeRelevantKnobsStayDistinct is the dedup counterpart: knobs a
-// mode does read must keep runs distinct.
+// TestModeRelevantKnobsStayDistinct is the dedup counterpart: every knob
+// a mode does read must keep runs distinct.
 func TestModeRelevantKnobsStayDistinct(t *testing.T) {
-	cfgA := core.Default(core.ModePRE)
-	cfgB := core.Default(core.ModePRE)
-	cfgB.SSTSize = 16
-	if runKey("w", testOpt(), cfgA) == runKey("w", testOpt(), cfgB) {
-		t.Error("PRE runs with different SSTSize deduplicated")
-	}
-	cfgC := core.Default(core.ModeRA)
-	cfgD := core.Default(core.ModeRA)
-	cfgD.MinRunaheadCycles = 0
-	if runKey("w", testOpt(), cfgC) == runKey("w", testOpt(), cfgD) {
-		t.Error("RA runs with different MinRunaheadCycles deduplicated")
+	for _, mode := range core.Modes() {
+		for _, k := range runaheadKnobs {
+			if !slices.Contains(k.readers, mode) {
+				continue
+			}
+			cfg := core.Default(mode)
+			k.vary(&cfg)
+			if runKey("w", testOpt(), core.Default(mode)) == runKey("w", testOpt(), cfg) {
+				t.Errorf("%v runs with different %s deduplicated", mode, k.name)
+			}
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ import (
 
 // KeyVersion identifies the CellKey canonicalization and layout. Bump it
 // whenever the key bytes of an unchanged simulation would change (new
-// core.Config fields, canonicalConfig table edits, format changes): the
+// core.Config fields, core.Config.Canonical edits, format changes): the
 // version is part of the key string, so a bump invalidates every
 // persisted cache entry at once instead of silently aliasing old results
 // onto new semantics. It is versioned alongside SchemaVersion — the
@@ -54,8 +54,9 @@ type CellKey struct {
 	// rendered override parameters).
 	Energy string
 	// Config is the canonical configuration: every knob the mode does
-	// not read has been zeroed (see canonicalConfig), so configurations
-	// that cannot produce different Results fingerprint identically.
+	// not read has been zeroed (see core.Config.Canonical), so
+	// configurations that cannot produce different Results fingerprint
+	// identically.
 	Config core.Config
 }
 
@@ -85,7 +86,7 @@ func CellKeyFor(workloadName string, params *synth.Params, opt sim.Options, cfg 
 		WarmupUops:  opt.WarmupUops,
 		MeasureUops: opt.MeasureUops,
 		Energy:      energy,
-		Config:      canonicalConfig(cfg),
+		Config:      cfg.Canonical(),
 	}
 }
 
@@ -118,7 +119,7 @@ const keyBufSize = 2048
 
 // String renders the full versioned cache identity. Two runs with equal
 // strings produce equal Results; the converse direction (unequal strings
-// for runs that would differ) is what canonicalConfig and the
+// for runs that would differ) is what core.Config.Canonical and the
 // golden-key tests guard.
 func (k CellKey) String() string {
 	b := fmt.Appendf(make([]byte, 0, keyBufSize), "cellkey/v%d|schema=%d|synth=%s|",

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/prefetch"
 	"repro/internal/sim"
 	"repro/internal/workload/synth"
 )
@@ -20,7 +21,7 @@ import (
 // JSON, so a silent change to any of them either poisons every persisted
 // cache entry or breaks the golden results. If this test fails because
 // you changed what a key covers ON PURPOSE (new core.Config field,
-// canonicalConfig table edit, layout change), bump KeyVersion, update
+// core.Config.Canonical edit, layout change), bump KeyVersion, update
 // the pinned hashes here, and note the bump in the PR — cached results
 // from older versions are then correctly treated as misses. The seeds
 // must NEVER change: they are part of the results-JSON byte contract
@@ -38,6 +39,12 @@ func goldenKeyCases(t *testing.T) []struct {
 		t.Fatalf("sampling default-space scenario 0: %v", err)
 	}
 	params := sc.Params
+	filtered, err := prefetch.VariantByName("filtered")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oooFiltered := core.Default(core.ModeOoO)
+	oooFiltered.ApplyPrefetch(filtered)
 	return []struct {
 		name string
 		key  CellKey
@@ -45,14 +52,20 @@ func goldenKeyCases(t *testing.T) []struct {
 		{"fixed/ooo", CellKeyFor("libquantum", nil, opt, core.Default(core.ModeOoO))},
 		{"fixed/pre", CellKeyFor("mcf", nil, opt, preCfg)},
 		{"synth/ra", CellKeyFor(sc.Name(), &params, opt, core.Default(core.ModeRA))},
+		{"fixed/rabuffer", CellKeyFor("milc", nil, opt, core.Default(core.ModeRABuffer))},
+		{"fixed/preemq", CellKeyFor("lbm", nil, opt, core.Default(core.ModePREEMQ))},
+		{"fixed/ooo-filtered", CellKeyFor("omnetpp", nil, opt, oooFiltered)},
 	}
 }
 
 func TestCellKeyGoldenHashes(t *testing.T) {
 	want := map[string]struct{ hash, seed string }{
-		"fixed/ooo": {"bbabbb953f495aeb1cfe3786afb4aa7ff9a61a6615789268e00d72fde2cb829d", "097abf951bd06fb1"},
-		"fixed/pre": {"1d898373ec413518164fcfae1bc61f16f42a1c0583f32cde27384f00f82c85ce", "fa05a489a2371bd5"},
-		"synth/ra":  {"7e3d9013a22ea0110b5ef4b49f4d6271fcd2e6a41bd57ae15a5dbcfb2d979775", "5db03120e06adac6"},
+		"fixed/ooo":          {"bbabbb953f495aeb1cfe3786afb4aa7ff9a61a6615789268e00d72fde2cb829d", "097abf951bd06fb1"},
+		"fixed/pre":          {"1d898373ec413518164fcfae1bc61f16f42a1c0583f32cde27384f00f82c85ce", "fa05a489a2371bd5"},
+		"synth/ra":           {"7e3d9013a22ea0110b5ef4b49f4d6271fcd2e6a41bd57ae15a5dbcfb2d979775", "5db03120e06adac6"},
+		"fixed/rabuffer":     {"5610627b9f7a8bee5c20d05c8077ade88ed7fc6f66b8e8a74d29f71c200a645c", "db7cc8ecfc5b5f99"},
+		"fixed/preemq":       {"771c6e9da536bfde6dc0e74340bd53c71718a37a53519ed0934bd287d3aa19d7", "060ad910756f8143"},
+		"fixed/ooo-filtered": {"cd2b3134ff18289b8c75903ed3e181a6e575e6b51e6bef46d1dab357a159c9c2", "794a4b8a978e5acd"},
 	}
 	for _, c := range goldenKeyCases(t) {
 		name, k := c.name, c.key

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/energy"
-	"repro/internal/exp/pool"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -235,28 +234,4 @@ func gather(name string, mode core.Mode, c *core.Core, opt Options) Result {
 		Energy:              energy.Compute(params, act),
 	}
 	return r
-}
-
-// RunMatrix simulates every (workload, mode) pair, in parallel across the
-// machine's cores, returning results indexed [workload][mode] in the
-// given orders. It delegates to the same worker pool as the experiment
-// orchestrator (internal/exp): each job writes only its own slot, and the
-// returned error is the first in (workload, mode) order regardless of
-// completion order, so the call is deterministic at any parallelism.
-func RunMatrix(ws []workload.Workload, modes []core.Mode, opt Options) ([][]Result, error) {
-	results := make([][]Result, len(ws))
-	for i := range results {
-		results[i] = make([]Result, len(modes))
-	}
-	errs := make([]error, len(ws)*len(modes))
-	pool.Run(len(errs), 0, func(i int) {
-		wi, mi := i/len(modes), i%len(modes)
-		results[wi][mi], errs[i] = Run(ws[wi], modes[mi], opt)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
 }

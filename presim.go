@@ -133,12 +133,6 @@ func Run(w Workload, mode Mode, opt Options) (Result, error) {
 	return sim.Run(w, mode, opt)
 }
 
-// RunMatrix simulates every (workload, mode) pair in parallel, returning
-// results indexed [workload][mode].
-func RunMatrix(ws []Workload, modes []Mode, opt Options) ([][]Result, error) {
-	return sim.RunMatrix(ws, modes, opt)
-}
-
 // Observability (internal/telemetry): point Options.Trace at a
 // TraceRecorder and the run records a cycle-level event timeline of its
 // measured window — runahead episode spans, full-window stall spans,

@@ -67,10 +67,15 @@ func TestFacadeTables(t *testing.T) {
 		ws = append(ws, w)
 	}
 	modes := presim.Modes()
-	res, err := presim.RunMatrix(ws, modes, quick())
+	plan, err := presim.Experiment{Name: "facade", Workloads: ws, Modes: modes, Options: quick()}.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
+	set, err := plan.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := set.Grid(0)
 	if presim.Fig2Table(res, modes) == nil || presim.Fig3Table(res, modes) == nil {
 		t.Fatal("tables must render")
 	}
